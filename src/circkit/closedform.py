@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
@@ -205,21 +206,30 @@ def _sum_digits(n: int, rho: float) -> int:
     return 36 + math.ceil(spread)
 
 
+@lru_cache(maxsize=8)
+def _roots_of_unity(n: int, dps: int) -> tuple:
+    """w_j = exp(2 pi i j / n) for j = 0..n-1, at dps working digits."""
+    with mpmath.workdps(dps):
+        return tuple(mpmath.expjpi(mpmath.mpf(2 * j) / n) for j in range(n))
+
+
 def root_of_unity_sum(n: int, m: int, rho: float) -> complex:
     """Direct summation of sum_j w^{jm} / (rho + w^j) over the n-th roots w.
 
     Summed with enough working digits to survive the near-total
-    cancellation, then rounded once at the end.
+    cancellation, then rounded once at the end.  The roots are built once
+    per (n, digits) and w_j^m is read off as w_{jm mod n}.
     """
     _require_odd(n)
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    with mpmath.workdps(_sum_digits(n, rho)):
+    dps = _sum_digits(n, rho)
+    roots = _roots_of_unity(n, dps)
+    with mpmath.workdps(dps):
         r = mpmath.mpf(rho)
         total = mpmath.mpc(0)
         for j in range(n):
-            w = mpmath.expjpi(mpmath.mpf(2 * j) / n)
-            total += w**m / (r + w)
+            total += roots[(j * m) % n] / (r + roots[j])
         return complex(total)
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -45,7 +47,7 @@ def circulant_distance(u: int, v: int, n: int) -> int:
     return min(q, n - q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CirculantSpec:
     """Identity of a circulant graph: vertex count plus distance weights.
 
@@ -53,13 +55,20 @@ class CirculantSpec:
     rational weight.  ``deleted`` is set when the spec is the complete graph
     with whole distance classes removed; then the weights are the 0/1
     indicator of the surviving classes.
+
+    Specs are immutable: ``weights`` is a read-only view of a private copy.
+    Equality and the hash, computed once, go by ``(n, deleted)`` for
+    deletion specs and by n and the nonzero weights otherwise.
     """
 
     n: int
-    weights: Mapping[int, Fraction] = field(hash=False)
+    weights: Mapping[int, Fraction]
     deleted: frozenset[int] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+        if self.deleted is not None:
+            object.__setattr__(self, "deleted", frozenset(self.deleted))
         if not isinstance(self.n, int) or self.n < 3:
             raise ValueError(f"vertex count must be an integer >= 3, got {self.n!r}")
         half = self.n // 2
@@ -79,6 +88,23 @@ class CirculantSpec:
                     raise ValueError(
                         "weights of a deletion spec must be the 0/1 indicator of the deleted set"
                     )
+            key = (self.n, self.deleted)
+        else:
+            key = (self.n, tuple((k, self.weights[k]) for k in range(1, half + 1) if self.weights[k]))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CirculantSpec):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; rebuild (and revalidate) from a dict
+        return (type(self), (self.n, dict(self.weights), self.deleted))
 
     @classmethod
     def from_deleted(cls, n: int, deleted: Iterable[int] = ()) -> "CirculantSpec":
@@ -107,12 +133,12 @@ class CirculantSpec:
             return Fraction(0)
         return self.weights[k]
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         """Distances with strictly positive weight, ascending."""
         return tuple(k for k in sorted(self.weights) if self.weights[k] > 0)
 
-    @property
+    @cached_property
     def is_indicator(self) -> bool:
         """True when every weight is 0 or 1 (an unweighted deletion graph)."""
         return all(w in (0, 1) for w in self.weights.values())
@@ -148,28 +174,23 @@ def volume(spec: CirculantSpec) -> Fraction:
 
 
 def is_connected(spec: CirculantSpec) -> bool:
-    """Whether the circulant graph is connected.
-
-    Deletion specs use the exact criterion gcd(n, surviving distances) == 1.
-    General weighted specs fall back to positivity of the smallest nonzero
-    Laplacian eigenvalue, with threshold 1e-9 * n.
-    """
-    if spec.deleted is not None:
-        return math.gcd(spec.n, *spec.support) == 1
-    from . import spectral
-
-    return spectral.eigenvalues(spec).connected
+    """Whether the circulant graph is connected: exactly when
+    gcd(n, distances of positive weight) == 1, since weights are
+    nonnegative rationals and only their support matters."""
+    return math.gcd(spec.n, *spec.support) == 1
 
 
 def spec_to_json(spec: CirculantSpec) -> str:
-    """Serialize a spec: {"n": ..., "deleted": [...]} or {"n": ..., "weights": {...}}."""
+    """Serialize a spec: {"n": ..., "deleted": [...]} or {"n": ..., "weights": {...}}
+    with the nonzero weights only."""
     return json.dumps(spec_to_dict(spec))
 
 
 def spec_to_dict(spec: CirculantSpec) -> dict:
     if spec.deleted is not None:
         return {"n": spec.n, "deleted": sorted(spec.deleted)}
-    return {"n": spec.n, "weights": {str(k): str(w) for k, w in sorted(spec.weights.items())}}
+    # zero weights are left out; spec_from_dict refills them
+    return {"n": spec.n, "weights": {str(k): str(spec.weights[k]) for k in spec.support}}
 
 
 def spec_from_json(text: str) -> CirculantSpec:

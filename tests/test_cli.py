@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -192,3 +193,48 @@ def test_weighted_spec_flag(runner):
     assert result.exit_code == 0
     record = _lines(result.output)[0]
     assert record["representation"] == "rational"
+
+
+def test_compute_sparse_cycle_is_connected(runner):
+    # the cycle's smallest eigenvalue 4 sin^2(pi/n) is far below 1e-9*n, yet it is connected
+    result = runner.invoke(main, [
+        "compute", "--n", "4001", "--weights", "1=1", "--quantity", "resistance",
+        "--u", "0", "--v", "1000", "--method", "spectral",
+    ])
+    assert result.exit_code == 0, result.output
+    record = _lines(result.output)[0]
+    assert record["value"] == pytest.approx(1000 * 3001 / 4001, rel=1e-12)
+
+
+def test_compute_tiny_weight_trees(runner):
+    # tau of the 7-cycle with weight w is 7 w^6, here 7e-72, not zero
+    result = runner.invoke(main, [
+        "compute", "--n", "7", "--weights", "1=1/1000000000000", "--quantity", "trees",
+        "--method", "spectral",
+    ])
+    assert result.exit_code == 0, result.output
+    record = _lines(result.output)[0]
+    assert record["value"] == pytest.approx(math.log(7) - 72 * math.log(10), rel=1e-12)
+    assert "integer" not in record["metadata"]
+
+
+def test_compute_records_carry_sparse_weights(runner):
+    result = runner.invoke(main, [
+        "compute", "--n", "9", "--weights", "1=1", "--quantity", "resistance",
+        "--method", "spectral",
+    ])
+    assert result.exit_code == 0, result.output
+    records = _lines(result.output)
+    assert len(records) == 4
+    for record in records:
+        assert record["spec"] == {"n": 9, "weights": {"1": "1"}}
+
+
+def test_compute_weight_below_float_range_exits_2(runner):
+    # 1e-400 is a positive weight, so the graph is connected, but it is 0.0 as a float
+    result = runner.invoke(main, [
+        "compute", "--n", "9", "--weights", "1=1/1" + "0" * 400, "--quantity", "resistance",
+        "--method", "spectral",
+    ])
+    assert result.exit_code == 2, result.output
+    assert "float range" in result.output

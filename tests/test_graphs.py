@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -99,9 +101,40 @@ def test_is_connected_matches_gcd_exhaustively():
             assert is_connected(spec) == expected, (n, S)
 
 
-def test_is_connected_weighted_uses_spectrum():
+def test_is_connected_weighted_uses_gcd():
     assert is_connected(CirculantSpec.weighted(6, {1: Fraction(1, 3)}))
     assert not is_connected(CirculantSpec.weighted(6, {3: 1}))
+    # positivity is all that counts, however small or sparse the weights
+    assert is_connected(CirculantSpec.weighted(7, {1: Fraction(1, 10**12)}))
+    assert is_connected(CirculantSpec.weighted(4001, {1: 1}))
+    assert not is_connected(CirculantSpec.weighted(12, {2: 5, 4: Fraction(1, 7), 6: 1}))
+    assert is_connected(CirculantSpec.weighted(12, {4: 5, 3: Fraction(1, 10**30)}))
+
+
+def test_specs_are_immutable():
+    spec = CirculantSpec.from_deleted(7, {1})
+    with pytest.raises(TypeError):
+        spec.weights[1] = 5
+    weighted = CirculantSpec.weighted(6, {1: 1})
+    with pytest.raises(TypeError):
+        weighted.weights[2] = Fraction(1)
+    assert weighted.support == (1,)
+    for s in (spec, weighted):
+        assert pickle.loads(pickle.dumps(s)) == s
+        assert copy.deepcopy(s) == s
+
+
+def test_spec_hash_and_equality_follow_the_weights():
+    a = CirculantSpec.weighted(6, {1: 1})
+    b = CirculantSpec.weighted(6, {2: 1})
+    assert a != b
+    assert hash(a) != hash(b)
+    assert a == CirculantSpec.weighted(6, {1: "1", 3: 0})
+    assert hash(a) == hash(CirculantSpec.weighted(6, {1: "1", 3: 0}))
+    assert CirculantSpec.from_deleted(9, [1, 3]) == CirculantSpec.from_deleted(9, {3, 1})
+    assert hash(CirculantSpec.from_deleted(9, [1, 3])) == hash(CirculantSpec.from_deleted(9, {3, 1}))
+    # a deletion spec and a weighted spec with the same 0/1 weights stay distinct
+    assert CirculantSpec.from_deleted(5, {1}) != CirculantSpec.weighted(5, {2: 1})
 
 
 def test_json_round_trip_deletion():
@@ -115,6 +148,9 @@ def test_json_round_trip_weighted():
     back = spec_from_json(spec_to_json(s))
     assert back == s
     assert back.weights[1] == Fraction(1, 2)
+    # only the nonzero weights are written; the zeros come back on reading
+    assert spec_to_json(s) == '{"n": 6, "weights": {"1": "1/2", "3": "2"}}'
+    assert back.weights[2] == 0
 
 
 def test_json_rejects_unknown_shape():

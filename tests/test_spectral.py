@@ -1,11 +1,14 @@
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from circkit.errors import DisconnectedGraphError
 from circkit.graphs import CirculantSpec
 from circkit.oracles import forest_count_oracle, tree_count_oracle
+from circkit import spectral
 from circkit.spectral import (
     eigenvalues,
     forest_count_spectral,
@@ -180,3 +183,72 @@ def test_kirchhoff_equals_pairwise_resistance_sum():
         n = spec.n
         total = n / 2 * math.fsum(resistance_spectral(spec, 0, q) for q in range(1, n))
         assert kirchhoff_spectral(spec) == pytest.approx(total, rel=1e-9)
+
+
+def test_equal_specs_share_one_cached_spectrum():
+    a = CirculantSpec.weighted(40, {1: "1/3", 7: 2})
+    b = CirculantSpec.weighted(40, {7: 2, 1: Fraction(1, 3)})
+    assert a is not b and a == b
+    assert spectral._data(a) is spectral._data(b)
+    assert spectral._data(CirculantSpec.weighted(40, {1: "1/3", 7: 3})) is not spectral._data(a)
+    assert eigenvalues(a) is eigenvalues(b)
+
+
+def test_tiny_and_sparse_weights_are_not_disconnected():
+    tiny = CirculantSpec.weighted(7, {1: Fraction(1, 10**12)})
+    assert eigenvalues(tiny).connected
+    tc = tree_count_spectral(tiny)
+    assert tc.log_value == pytest.approx(math.log(7) - 72 * math.log(10), rel=1e-12)
+    assert resistance_spectral(tiny, 0, 1) == pytest.approx(6 / 7 * 10**12, rel=1e-12)
+    disconnected = CirculantSpec.weighted(12, {2: Fraction(1, 10**12), 4: 3})
+    assert not eigenvalues(disconnected).connected
+    with pytest.raises(DisconnectedGraphError):
+        kirchhoff_spectral(disconnected)
+
+
+def test_sparse_cycle_accuracy_at_large_n():
+    n = 100001
+    spec = CirculantSpec.weighted(n, {1: 1})
+    for q in (1, 2, 3, n // 3, n // 2):
+        assert resistance_spectral(spec, 0, q) == pytest.approx(q * (n - q) / n, rel=1e-12)
+        assert resistance_spectral(spec, 0, q) == resistance_spectral(spec, 0, n - q)
+
+
+def test_tree_count_integer_channel_near_two_to_the_53():
+    # a long-double product of double eigenvalues rounds both of these wrongly
+    tc = tree_count_spectral(CirculantSpec.from_deleted(18, {2, 4, 6, 7}))
+    assert tc.integer == 1616935495148127
+    tc = tree_count_spectral(CirculantSpec.from_deleted(16, {7, 8}))
+    assert tc.integer == 2248992542880048
+
+
+def test_tree_count_integer_channel_never_claims_a_wrong_integer():
+    rng = random.Random(2024)
+    claims = 0
+    for _ in range(300):
+        n = rng.randint(15, 60)
+        spec = CirculantSpec.from_deleted(n, rng.sample(range(1, n // 2 + 1), rng.randint(0, n // 2 - 1)))
+        claimed = tree_count_spectral(spec).integer
+        if claimed is not None:
+            claims += 1
+            assert claimed == tree_count_oracle(spec), spec
+    assert claims >= 30
+
+
+def test_tree_count_integer_channel_survives_small_eigenvalues():
+    # lambda_j < 1 for j < n/6 on the cycle: a running product in j order
+    # underflows to 0 long before the true count n is reached
+    for n in (2401, 40001, 100001):
+        tc = tree_count_spectral(CirculantSpec.weighted(n, {1: 1}))
+        assert tc.integer in (n, None)
+        assert tc.log_value == pytest.approx(math.log(n), rel=1e-9)
+    assert tree_count_spectral(CirculantSpec.weighted(40001, {1: 1})).integer == 40001
+
+
+def test_weights_outside_float_range_are_refused():
+    for weight in (Fraction(1, 10**400), Fraction(10**400)):
+        spec = CirculantSpec.weighted(9, {1: weight})
+        with pytest.raises(ValueError, match="float range"):
+            resistance_spectral(spec, 0, 1)
+        with pytest.raises(ValueError, match="float range"):
+            tree_count_spectral(spec)
